@@ -62,9 +62,13 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def git_sha() -> str:
     try:
+        # The ceiling keeps git from searching directories above the
+        # checkout when the checkout itself is not a repository.
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
             text=True, timeout=10,
+            env=dict(os.environ,
+                     GIT_CEILING_DIRECTORIES=os.path.dirname(ROOT)),
         )
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
