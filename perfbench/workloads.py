@@ -684,12 +684,15 @@ def _untraced(workload: Workload, seconds: float, setup_s: float) -> dict:
     phase = workload.measure(Phase(None), seconds)
     metrics = {"setup_s": setup_s}
     if workload.samples:
-        # Milliseconds-long samples: the host only ever adds time to
-        # them (contention comes and goes within milliseconds), so the
-        # fastest of the samples is the steadier estimate; a few hundred
-        # samples per run make the fast moments certain to be sampled.
-        metrics["compile_s"] = min(c for c, _ in workload.samples)
-        metrics["load_s"] = min(ld for _, ld in workload.samples)
+        # Milliseconds-long samples, a few hundred per run spread over
+        # its checkpoints.  Their fastest is a lone lucky sample (its
+        # value moved ~35% between runs); their median moved ~6%.
+        metrics["compile_s"] = statistics.median(
+            c for c, _ in workload.samples
+        )
+        metrics["load_s"] = statistics.median(
+            ld for _, ld in workload.samples
+        )
     metrics.update(workload.metrics(phase))
     counts = workload.program_counts()
     for name in ("binary_bytes", "bootstrapped_gates", "bootstrap_levels"):
